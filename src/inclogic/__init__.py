@@ -97,12 +97,15 @@ from .syntax import (
     diamond_power,
     disjoin,
     extended_params,
+    fold,
     fragment,
     fresh_props,
     modal_depth,
     nnf_negate,
     parse_formula,
+    postorder,
     props,
+    rebuild,
     render_formula,
     renumbered,
     sub_occurrences,

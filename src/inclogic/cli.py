@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InclogicError
+from .errors import InclogicError, InputError
 from .laxcheck import eminc_preprocess, lax_check, lax_check_prop
 from .oracle import Semantics, eval_team_modal, eval_team_prop
 from .reductions import (
@@ -53,8 +53,12 @@ from .validity import (
 _POSITIVE = ("true", "valid")
 
 
-def _read_json(path: str):
-    return json.loads(Path(path).read_text())
+def _load(loader, path: str, *args):
+    """Run a structures loader on a JSON file, naming the file in input errors."""
+    try:
+        return loader(json.loads(Path(path).read_text()), *args)
+    except (InclogicError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _mode(name: str) -> Semantics:
@@ -95,8 +99,8 @@ def _verdict_payload(verdict):
 
 
 def _cmd_mc(args):
-    model = load_model(_read_json(args.model))
-    team = load_world_team(_read_json(args.team), model)
+    model = _load(load_model, args.model)
+    team = _load(load_world_team, args.team, model)
     formula = parse_formula(args.formula)
     mode = _mode(args.semantics)
     if args.force_oracle:
@@ -113,12 +117,12 @@ def _cmd_mc(args):
             model, team, formula, max_team=args.guard_team, stats=stats
         )
         if args.stats:
-            print(f"explored {stats.explored} successor choices", file=sys.stderr)
+            print(f"explored {stats.explored} search states", file=sys.stderr)
     return ("true" if result else "false"), None
 
 
 def _cmd_mc_prop(args):
-    team = load_prop_team(_read_json(args.team))
+    team = _load(load_prop_team, args.team)
     formula = parse_formula(args.formula)
     mode = _mode(args.semantics)
     if args.force_oracle:
@@ -131,7 +135,7 @@ def _cmd_mc_prop(args):
             team, formula, max_team=args.guard_team, stats=stats
         )
         if args.stats:
-            print(f"explored {stats.explored} successor choices", file=sys.stderr)
+            print(f"explored {stats.explored} search states", file=sys.stderr)
     return ("true" if result else "false"), None
 
 
@@ -139,13 +143,13 @@ def _cmd_oracle(args):
     formula = parse_formula(args.formula)
     mode = _mode(args.semantics)
     if args.kind == "mc":
-        model = load_model(_read_json(args.model))
-        team = load_world_team(_read_json(args.team), model)
+        model = _load(load_model, args.model)
+        team = _load(load_world_team, args.team, model)
         result = eval_team_modal(
             model, team, formula, mode, max_worlds=args.guard_worlds
         )
     else:
-        team = load_prop_team(_read_json(args.team))
+        team = _load(load_prop_team, args.team)
         result = eval_team_prop(team, formula, mode, max_team=args.guard_team)
     return ("true" if result else "false"), None
 
@@ -177,7 +181,7 @@ def _cmd_translate(args):
     else:
         if args.model is None:
             raise ValueError("translate eminc-to-minc requires --model")
-        model = load_model(_read_json(args.model))
+        model = _load(load_model, args.model)
         new_model, new_formula = eminc_preprocess(model, formula)
         payload = {"model": model_to_json(new_model), "formula": str(new_formula)}
     return "true", payload
@@ -359,6 +363,10 @@ def main(argv=None) -> int:
         verdict, payload = args.handler(args)
     except (InclogicError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply for the recursive parts (parenthesis "
+              "depth, strict and oracle searches)", file=sys.stderr)
         return 2
     print(f"RESULT: {verdict}")
     if payload is not None:

@@ -25,6 +25,10 @@ class NotEmincError(InclogicError):
     """Inclusion parameters must be plain modal-logic formulas."""
 
 
+class InputError(InclogicError):
+    """A JSON input document is malformed: wrong root, missing or mistyped field."""
+
+
 class ForeignWorldError(InclogicError):
     """A world name does not belong to the model."""
 

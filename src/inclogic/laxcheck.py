@@ -33,6 +33,7 @@ from .errors import FragmentError
 from .oracle import ml_truth_set
 from .structures import Assignment, KripkeModel, PropTeam, r_image
 from .syntax import (
+    LITERALS,
     And,
     Atom,
     Box,
@@ -47,10 +48,9 @@ from .syntax import (
     fresh_props,
     props,
     render_formula,
+    sub_occurrences,
     substitute_params,
 )
-
-_LITERAL = (Atom, NegAtom, Inclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +143,6 @@ class Labelling:
     rounds: int
 
 
-def _occurrences(f: Formula) -> list[Formula]:
-    """Post-order occurrence list for the checker; inclusion atoms are leaves."""
-    out: list[Formula] = []
-
-    def walk(node: Formula):
-        if isinstance(node, (And, Or, Diamond, Box)):
-            for c in node.children():
-                walk(c)
-        out.append(node)
-
-    walk(f)
-    if len({n.oid for n in out}) != len(out):
-        raise ValueError("formula tree reuses node objects; pass it through renumbered() first")
-    return out
-
-
 def lax_labelling(
     m: KripkeModel,
     t: Iterable[str],
@@ -170,8 +154,9 @@ def lax_labelling(
     if frag is Fragment.EMINC:
         raise FragmentError("eliminate extended inclusion atoms first (eminc_preprocess)")
     team = m.team(t)
-    occs = _occurrences(f)
-    root = occs[-1]
+    nodes = [node for _, node in sub_occurrences(f)]
+    params = {p.oid for n in nodes if isinstance(n, Inclusion) for p in n.children()}
+    occs = [n for n in nodes if n.oid not in params]  # inclusion atoms are leaves
     full = frozenset(m.worlds)
 
     older = None
@@ -181,7 +166,7 @@ def lax_labelling(
         cur: dict[int, frozenset[str]] = {}
         if i % 2 == 1:
             for n in occs:
-                if isinstance(n, _LITERAL):
+                if isinstance(n, LITERALS):
                     cur[n.oid] = _maxsub_core(
                         prev[n.oid], lambda w, p: 1 if m.truth(p, w) else 0, n
                     )
@@ -197,7 +182,7 @@ def lax_labelling(
                     cur[n.oid] = frozenset(w for w in prev[n.oid] if m.succ[w] <= child)
         else:
             for n in reversed(occs):
-                if n is root:
+                if n is f:
                     cur[n.oid] = prev[n.oid] & team
                 if isinstance(n, And):
                     cur[n.left.oid] = cur[n.oid]
@@ -225,9 +210,7 @@ def lax_check(
     """Polynomial lax model checking: the team satisfies the formula exactly
     when the root's stable label equals the team."""
     team = m.team(t)
-    lab = lax_labelling(m, team, f, trace)
-    root_oid = _occurrences(f)[-1].oid
-    return lab.labels[root_oid] == team
+    return lax_labelling(m, team, f, trace).labels[f.oid] == team
 
 
 # ---------------------------------------------------------------------------

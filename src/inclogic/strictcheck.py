@@ -18,25 +18,13 @@ from typing import Iterable
 from .errors import SizeGuardError
 from .laxcheck import embed_prop_team, eminc_preprocess
 from .structures import KripkeModel, PropTeam, r_image
-from .syntax import (
-    And,
-    Atom,
-    Box,
-    Diamond,
-    Formula,
-    Fragment,
-    Inclusion,
-    NegAtom,
-    Or,
-    fragment,
-)
-
-_LITERAL = (Atom, NegAtom, Inclusion)
+from .syntax import LITERALS, And, Atom, Diamond, Formula, Fragment, NegAtom, Or, fragment
 
 
 @dataclass
 class SearchStats:
-    """Number of distinct (occurrence, team) states actually evaluated."""
+    """Search states visited: distinct (occurrence, team) pairs evaluated
+    plus distinct diamond images tried."""
 
     explored: int = 0
 
@@ -86,11 +74,11 @@ def strict_check(
         return res
 
     def _sat(node: Formula, tm: frozenset[str]) -> bool:
-        if isinstance(node, _LITERAL):
+        if isinstance(node, LITERALS):
             return literal_holds(node, tm)
         if isinstance(node, And):
             # cheap contradictions first
-            parts = sorted(node.children(), key=lambda c: not isinstance(c, _LITERAL))
+            parts = sorted(node.children(), key=lambda c: not isinstance(c, LITERALS))
             return all(sat(c, tm) for c in parts)
         if isinstance(node, Or):
             members = sorted(tm)

@@ -8,9 +8,10 @@ code, world teams are plain frozensets of world names.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+import json
+from typing import Callable, Iterable, Mapping
 
-from .errors import ForeignWorldError, SizeGuardError, UnboundPropError
+from .errors import ForeignWorldError, InputError, SizeGuardError, UnboundPropError
 
 WorldTeam = frozenset  # teams of worlds are frozensets of world names
 
@@ -215,27 +216,50 @@ def all_assignments(domain: Iterable[str], max_count: int = 2**20) -> list[Assig
 # JSON-shaped (de)serialization; the CLI handles the actual file I/O
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _field(data, name: str, expected: str, check: Callable = _is_names, default=None):
+    """``data[name]`` of a JSON object; InputError unless ``check`` accepts it."""
+    if not isinstance(data, dict):
+        raise InputError(f"expected a JSON object, got {_excerpt(data)}")
+    if name not in data and default is None:
+        raise InputError(f"missing field {name!r}")
+    value = data.get(name, default)
+    if not check(value):
+        raise InputError(f"field {name!r} must be {expected}, got {_excerpt(value)}")
+    return value
+
+
+def _excerpt(value) -> str:
+    return json.dumps(value, default=repr)[:40]
+
+
 def load_model(data: Mapping) -> KripkeModel:
     """Build a model from ``{"worlds": [...], "edges": [[u, v], ...],
     "valuation": {prop: [worlds...]}}``."""
-    return KripkeModel(
-        data["worlds"],
-        [tuple(e) for e in data["edges"]],
-        data.get("valuation", {}),
-    )
+    worlds = _field(data, "worlds", "a list of world names")
+    edges = _field(data, "edges", "a list of [source, target] pairs",
+                   lambda v: isinstance(v, list) and all(_is_names(e) and len(e) == 2 for e in v))
+    valuation = _field(data, "valuation", "an object mapping propositions to world lists",
+                       lambda v: isinstance(v, dict) and all(map(_is_names, v.values())), {})
+    return KripkeModel(worlds, [tuple(e) for e in edges], valuation)
 
 
 def load_world_team(data: Mapping, model: KripkeModel) -> frozenset[str]:
     """Build a team from ``{"team": [worlds...]}``, validated against the model."""
-    return model.team(data["team"])
+    return model.team(_field(data, "team", "a list of world names"))
 
 
 def load_prop_team(data: Mapping) -> PropTeam:
     """Build a team from ``{"domain": [...], "assignments": [[0/1 row], ...]}``;
     row i lists the values of the domain props in order."""
-    domain = list(data["domain"])
+    domain = _field(data, "domain", "a list of proposition names")
+    rows = _field(data, "assignments", "a list of 0/1 rows",
+                  lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v))
     members = []
-    for row in data["assignments"]:
+    for row in rows:
         if len(row) != len(domain):
             raise ValueError(f"assignment row {row!r} does not match domain length {len(domain)}")
         members.append(Assignment(dict(zip(domain, row))))

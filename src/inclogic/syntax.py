@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, NotEmincError, NotMlError, ParseError
 
@@ -46,17 +46,26 @@ class Formula:
 
     Every node carries a unique integer occurrence id (``oid``) so that equal
     subformulas at different positions stay distinguishable, e.g. as keys of
-    labelling tables.  Structural equality and hashing ignore occurrence ids.
+    labelling tables.  Structural equality and hashing ignore occurrence ids:
+    they compare the post-order sequence of (class, name or child count),
+    which determines the tree.
     """
 
-    __slots__ = ("oid", "_fragment")
+    __slots__ = ("oid", "_fragment", "_postorder")
 
     def __init__(self):
         self.oid = next(_ids)
         self._fragment = None
+        self._postorder = None
 
     def children(self) -> tuple["Formula", ...]:
         return ()
+
+    def __eq__(self, other):
+        return isinstance(other, Formula) and _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(_shape(self))
 
     def __str__(self) -> str:
         return render_formula(self)
@@ -74,12 +83,6 @@ class Atom(Formula):
         super().__init__()
         self.name = name
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("p", self.name))
-
 
 class NegAtom(Formula):
     """A negated proposition symbol (negation exists only at this level)."""
@@ -89,12 +92,6 @@ class NegAtom(Formula):
     def __init__(self, name: str):
         super().__init__()
         self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, NegAtom) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("!p", self.name))
 
 
 class And(Formula):
@@ -108,12 +105,6 @@ class And(Formula):
     def children(self):
         return (self.left, self.right)
 
-    def __eq__(self, other):
-        return isinstance(other, And) and self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return hash(("and", self.left, self.right))
-
 
 class Or(Formula):
     __slots__ = ("left", "right")
@@ -126,12 +117,6 @@ class Or(Formula):
     def children(self):
         return (self.left, self.right)
 
-    def __eq__(self, other):
-        return isinstance(other, Or) and self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return hash(("or", self.left, self.right))
-
 
 class Diamond(Formula):
     __slots__ = ("child",)
@@ -143,12 +128,6 @@ class Diamond(Formula):
     def children(self):
         return (self.child,)
 
-    def __eq__(self, other):
-        return isinstance(other, Diamond) and self.child == other.child
-
-    def __hash__(self):
-        return hash(("dia", self.child))
-
 
 class Box(Formula):
     __slots__ = ("child",)
@@ -159,12 +138,6 @@ class Box(Formula):
 
     def children(self):
         return (self.child,)
-
-    def __eq__(self, other):
-        return isinstance(other, Box) and self.child == other.child
-
-    def __hash__(self):
-        return hash(("box", self.child))
 
 
 class Inclusion(Formula):
@@ -191,12 +164,6 @@ class Inclusion(Formula):
 
     def children(self):
         return self.lhs + self.rhs
-
-    def __eq__(self, other):
-        return isinstance(other, Inclusion) and self.lhs == other.lhs and self.rhs == other.rhs
-
-    def __hash__(self):
-        return hash(("incl", self.lhs, self.rhs))
 
 
 LITERALS = (Atom, NegAtom, Inclusion)
@@ -245,6 +212,9 @@ def _tokenize(text: str) -> list[tuple[str, int, str]]:
     return tokens
 
 
+_MODALITIES = {"<>": Diamond, "[]": Box}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -283,13 +253,14 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        if self.peek() == "<>":
-            self.take("<>")
-            return Diamond(self.unary())
-        if self.peek() == "[]":
-            self.take("[]")
-            return Box(self.unary())
-        return self.primary()
+        start = end = self.pos
+        while self.peek() in _MODALITIES:
+            end = self.pos = end + 1
+        f = self.primary()
+        while end > start:  # wrap innermost first
+            end -= 1
+            f = _MODALITIES[self.tokens[end][0]](f)
+        return f
 
     def primary(self) -> Formula:
         kind = self.peek()
@@ -332,8 +303,7 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse formula text into an AST with occurrence ids 0..n-1 assigned in
     bottom-up, left-to-right order."""
-    f = _Parser(_tokenize(text)).parse()
-    f = renumbered(f)
+    f = _numbered(_Parser(_tokenize(text)).parse())
     fragment(f)
     return f
 
@@ -341,27 +311,76 @@ def parse_formula(text: str) -> Formula:
 def render_formula(f: Formula) -> str:
     """Render an AST back to concrete syntax; binary connectives are always
     parenthesized, so parsing the result reproduces the same structure."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, NegAtom):
-        return "!" + f.name
-    if isinstance(f, And):
-        return f"({render_formula(f.left)} & {render_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({render_formula(f.left)} | {render_formula(f.right)})"
-    if isinstance(f, Diamond):
-        return "<>" + render_formula(f.child)
-    if isinstance(f, Box):
-        return "[]" + render_formula(f.child)
-    if isinstance(f, Inclusion):
-        lhs = ",".join(render_formula(p) for p in f.lhs)
-        rhs = ",".join(render_formula(p) for p in f.rhs)
-        return f"[{lhs} <= {rhs}]"
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, _render)
+
+
+def _render(node: Formula, kids: Sequence[str]) -> str:
+    if isinstance(node, Atom):
+        return node.name
+    if isinstance(node, NegAtom):
+        return "!" + node.name
+    if isinstance(node, And):
+        return f"({kids[0]} & {kids[1]})"
+    if isinstance(node, Or):
+        return f"({kids[0]} | {kids[1]})"
+    if isinstance(node, Diamond):
+        return "<>" + kids[0]
+    if isinstance(node, Box):
+        return "[]" + kids[0]
+    arity = len(node.lhs)
+    return f"[{','.join(kids[:arity])} <= {','.join(kids[arity:])}]"
 
 
 # ---------------------------------------------------------------------------
-# Structural utilities
+# The tree traversal and the utilities built on it
+
+
+def postorder(f: Formula) -> tuple[Formula, ...]:
+    """Every node of the tree, children before parents, left to right.
+
+    Computed without recursion and cached on ``f``.  A node object that
+    appears at several positions is listed once per position.
+    """
+    if f._postorder is None:
+        out = []
+        stack = [f]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(node.children())
+        f._postorder = tuple(reversed(out))
+    return f._postorder
+
+
+def fold(f: Formula, combine: Callable[[Formula, Sequence], object]):
+    """Compute ``combine(node, child_values)`` bottom-up, once per tree
+    position, and return the root's value."""
+    values: list = []
+    for node in postorder(f):
+        arity = len(node.children())
+        if arity:
+            kids = values[-arity:]
+            del values[-arity:]
+        else:
+            kids = ()
+        values.append(combine(node, kids))
+    return values[0]
+
+
+def rebuild(node: Formula, kids: Sequence[Formula]) -> Formula:
+    """A fresh copy of ``node`` over the new children ``kids``."""
+    if isinstance(node, (Atom, NegAtom)):
+        return type(node)(node.name)
+    if isinstance(node, Inclusion):
+        return Inclusion(kids[: len(node.lhs)], kids[len(node.lhs):])
+    return type(node)(*kids)
+
+
+def _shape(f: Formula) -> tuple:
+    return tuple(
+        (type(n), n.name if isinstance(n, (Atom, NegAtom)) else len(n.children()))
+        for n in postorder(f)
+    )
 
 
 def renumbered(f: Formula) -> Formula:
@@ -371,45 +390,20 @@ def renumbered(f: Formula) -> Formula:
     The rebuild also copies apart any node objects that appear at several
     positions, so the result is always a proper tree with unique ids.
     """
-    counter = itertools.count()
+    return _numbered(fold(f, rebuild))
 
-    def build(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            new: Formula = Atom(node.name)
-        elif isinstance(node, NegAtom):
-            new = NegAtom(node.name)
-        elif isinstance(node, And):
-            new = And(build(node.left), build(node.right))
-        elif isinstance(node, Or):
-            new = Or(build(node.left), build(node.right))
-        elif isinstance(node, Diamond):
-            new = Diamond(build(node.child))
-        elif isinstance(node, Box):
-            new = Box(build(node.child))
-        elif isinstance(node, Inclusion):
-            new = Inclusion(
-                tuple(build(p) for p in node.lhs),
-                tuple(build(p) for p in node.rhs),
-            )
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        new.oid = next(counter)
-        return new
 
-    return build(f)
+def _numbered(f: Formula) -> Formula:
+    """Set occurrence ids 0..n-1 in post-order on a tree without shared nodes."""
+    for oid, node in enumerate(postorder(f)):
+        node.oid = oid
+    return f
 
 
 def sub_occurrences(f: Formula) -> list[tuple[int, Formula]]:
     """All nodes of the tree as (occurrence id, node) pairs, children before
     parents, left to right."""
-    out: list[tuple[int, Formula]] = []
-
-    def walk(node: Formula):
-        for c in node.children():
-            walk(c)
-        out.append((node.oid, node))
-
-    walk(f)
+    out = [(node.oid, node) for node in postorder(f)]
     if len({oid for oid, _ in out}) != len(out):
         raise ValueError("formula tree reuses node objects; pass it through renumbered() first")
     return out
@@ -417,27 +411,12 @@ def sub_occurrences(f: Formula) -> list[tuple[int, Formula]]:
 
 def props(f: Formula) -> set[str]:
     """All proposition symbols occurring anywhere in the formula."""
-    out: set[str] = set()
-
-    def walk(node: Formula):
-        if isinstance(node, (Atom, NegAtom)):
-            out.add(node.name)
-        for c in node.children():
-            walk(c)
-
-    walk(f)
-    return out
+    return {n.name for n in postorder(f) if isinstance(n, (Atom, NegAtom))}
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting depth of modalities; inclusion parameters count."""
-    if isinstance(f, (Atom, NegAtom)):
-        return 0
-    if isinstance(f, (And, Or, Inclusion)):
-        return max(modal_depth(c) for c in f.children())
-    if isinstance(f, (Diamond, Box)):
-        return 1 + modal_depth(f.child)
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, lambda node, kids: max(kids, default=0) + isinstance(node, (Diamond, Box)))
 
 
 def fragment(f: Formula) -> Fragment:
@@ -449,54 +428,33 @@ def fragment(f: Formula) -> Fragment:
     the parameters are actually used.
     """
     if f._fragment is None:
-        f._fragment = _classify(f)
+        f._fragment = _classify(postorder(f))
     return f._fragment
 
 
-def _classify(f: Formula) -> Fragment:
-    modal = False
-    incl = False
-    extended = False
-
-    def walk(node: Formula):
-        nonlocal modal, incl, extended
-        if isinstance(node, (Diamond, Box)):
-            modal = True
-        elif isinstance(node, Inclusion):
-            incl = True
-            for p in node.lhs + node.rhs:
-                if not isinstance(p, Atom):
-                    extended = True
-        for c in node.children():
-            walk(c)
-
-    walk(f)
-    if extended:
+def _classify(nodes: tuple[Formula, ...]) -> Fragment:
+    modal = any(isinstance(n, (Diamond, Box)) for n in nodes)
+    atoms = [n for n in nodes if isinstance(n, Inclusion)]
+    if any(not isinstance(p, Atom) for atom in atoms for p in atom.children()):
         return Fragment.EMINC
-    if incl:
+    if atoms:
         return Fragment.MINC if modal else Fragment.PLINC
     return Fragment.ML if modal else Fragment.PL
+
+
+_DUALS = {Atom: NegAtom, NegAtom: Atom, And: Or, Or: And, Diamond: Box, Box: Diamond}
 
 
 def nnf_negate(f: Formula) -> Formula:
     """Negate a plain modal-logic formula, pushing negation to the atoms."""
 
-    def neg(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            return NegAtom(node.name)
-        if isinstance(node, NegAtom):
-            return Atom(node.name)
-        if isinstance(node, And):
-            return Or(neg(node.left), neg(node.right))
-        if isinstance(node, Or):
-            return And(neg(node.left), neg(node.right))
-        if isinstance(node, Diamond):
-            return Box(neg(node.child))
-        if isinstance(node, Box):
-            return Diamond(neg(node.child))
-        raise NotMlError("negation is only defined for formulas without inclusion atoms")
+    def flipped(node: Formula, kids: Sequence[Formula]) -> Formula:
+        dual = _DUALS.get(type(node))
+        if dual is None:
+            raise NotMlError("negation is only defined for formulas without inclusion atoms")
+        return dual(*kids) if kids else dual(node.name)
 
-    return neg(f)
+    return fold(f, flipped)
 
 
 def fresh_props(base: str, count: int, avoid: Iterable[str]) -> list[str]:
@@ -555,12 +513,6 @@ def diamond_power(f: Formula, n: int) -> Formula:
 # Extended inclusion atoms: shared parameter plumbing
 
 
-def _contains_inclusion(f: Formula) -> bool:
-    if isinstance(f, Inclusion):
-        return True
-    return any(_contains_inclusion(c) for c in f.children())
-
-
 def extended_params(f: Formula) -> list[Formula]:
     """The distinct non-atomic inclusion parameters of ``f``, in order of
     first occurrence.
@@ -569,29 +521,20 @@ def extended_params(f: Formula) -> list[Formula]:
     inside a parameter raises NotEmincError.  Duplicates are identified by
     rendered text.
     """
-    seen: set[str] = set()
-    order: list[Formula] = []
-
-    def walk(node: Formula):
-        if isinstance(node, Inclusion):
-            for p in node.lhs + node.rhs:
-                if isinstance(p, Atom):
-                    continue
-                if _contains_inclusion(p):
-                    raise NotEmincError(
-                        "inclusion parameters must be plain modal formulas, "
-                        f"got {render_formula(p)!r}"
-                    )
-                key = render_formula(p)
-                if key not in seen:
-                    seen.add(key)
-                    order.append(p)
-            return
-        for c in node.children():
-            walk(c)
-
-    walk(f)
-    return order
+    seen: dict[str, Formula] = {}
+    for node in postorder(f):
+        if not isinstance(node, Inclusion):
+            continue
+        for p in node.children():
+            if isinstance(p, Atom):
+                continue
+            if any(isinstance(n, Inclusion) for n in postorder(p)):
+                raise NotEmincError(
+                    "inclusion parameters must be plain modal formulas, "
+                    f"got {render_formula(p)!r}"
+                )
+            seen.setdefault(render_formula(p), p)
+    return list(seen.values())
 
 
 def substitute_params(f: Formula, mapping: dict[str, str]) -> Formula:
@@ -601,30 +544,12 @@ def substitute_params(f: Formula, mapping: dict[str, str]) -> Formula:
     The result is rebuilt with fresh occurrence ids.
     """
 
-    def build(node: Formula) -> Formula:
+    def named(node: Formula, kids: Sequence[Formula]) -> Formula:
         if isinstance(node, Inclusion):
-            return Inclusion(
-                tuple(_subst_param(p, mapping) for p in node.lhs),
-                tuple(_subst_param(p, mapping) for p in node.rhs),
-            )
-        if isinstance(node, Atom):
-            return Atom(node.name)
-        if isinstance(node, NegAtom):
-            return NegAtom(node.name)
-        if isinstance(node, And):
-            return And(build(node.left), build(node.right))
-        if isinstance(node, Or):
-            return Or(build(node.left), build(node.right))
-        if isinstance(node, Diamond):
-            return Diamond(build(node.child))
-        if isinstance(node, Box):
-            return Box(build(node.child))
-        raise TypeError(f"not a formula node: {node!r}")
+            kids = [
+                Atom(p.name if isinstance(p, Atom) else mapping[render_formula(p)])
+                for p in node.children()
+            ]
+        return rebuild(node, kids)
 
-    return renumbered(build(f))
-
-
-def _subst_param(p: Formula, mapping: dict[str, str]) -> Formula:
-    if isinstance(p, Atom):
-        return Atom(p.name)
-    return Atom(mapping[render_formula(p)])
+    return renumbered(fold(f, named))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Sequence
 
 from .errors import FragmentError, SizeGuardError
 from .laxcheck import eminc_preprocess, lax_check
@@ -41,11 +41,13 @@ from .syntax import (
     box_power,
     conjoin,
     extended_params,
+    fold,
     fragment,
     fresh_props,
     modal_depth,
     nnf_negate,
     props,
+    rebuild,
     renumbered,
     substitute_params,
 )
@@ -94,20 +96,12 @@ def plinc_to_pl(f: Formula) -> Formula:
     if fragment(f) not in (Fragment.PL, Fragment.PLINC):
         raise FragmentError("propositional (inclusion) formula expected")
 
-    def build(node: Formula) -> Formula:
+    def translated(node: Formula, kids: Sequence[Formula]) -> Formula:
         if isinstance(node, Inclusion):
             return inclusion_to_pl_singleton(node)
-        if isinstance(node, Atom):
-            return Atom(node.name)
-        if isinstance(node, NegAtom):
-            return NegAtom(node.name)
-        if isinstance(node, And):
-            return And(build(node.left), build(node.right))
-        if isinstance(node, Or):
-            return Or(build(node.left), build(node.right))
-        raise FragmentError("propositional (inclusion) formula expected")
+        return rebuild(node, kids)
 
-    return renumbered(build(f))
+    return renumbered(fold(f, translated))
 
 
 def pl_validity(f: Formula, *, max_vars: int = 24) -> Verdict:
@@ -236,28 +230,14 @@ def minc_bounded_counterexample(
     if max_worlds > 5:
         raise SizeGuardError("bounded search beyond 5 worlds is not supported")
     signature = sorted(props(f))
+    check = lax_check if mode is Semantics.LAX else strict_check
     for n in range(1, max_worlds + 1):
+        sizes = range(1, 2 if mode is Semantics.LAX else min(max_team, n) + 1)
         for model in _bounded_models(signature, n):
-            if mode is Semantics.LAX:
-                cmodel, cf = eminc_preprocess(model, f)
-                teams: Iterable[frozenset[str]] = (
-                    frozenset([w]) for w in cmodel.worlds
-                )
-
-                def holds(team, _m=cmodel, _f=cf):
-                    return lax_check(_m, team, _f)
-
-            else:
-                teams = (
-                    frozenset(combo)
-                    for size in range(1, min(max_team, n) + 1)
-                    for combo in itertools.combinations(model.worlds, size)
-                )
-
-                def holds(team, _m=model, _f=f):
-                    return strict_check(_m, team, _f)
-
-            for team in teams:
-                if not holds(team):
-                    return Verdict(INVALID, witness=(model, team), bound=(max_worlds, max_team))
+            cmodel, cf = eminc_preprocess(model, f)
+            for size in sizes:
+                for team in itertools.combinations(model.worlds, size):
+                    if not check(cmodel, team, cf):
+                        witness = (model, frozenset(team))
+                        return Verdict(INVALID, witness=witness, bound=(max_worlds, max_team))
     return Verdict(UNKNOWN, bound=(max_worlds, max_team))

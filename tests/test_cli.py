@@ -60,7 +60,7 @@ def test_mc_stats_goes_to_stderr(capsys):
                        "--formula", "[]" + SPLIT, "--semantics", "strict",
                        "--stats")
     assert code == 1
-    assert "explored" in err
+    assert "search states" in err
 
 
 def test_mc_force_oracle_agrees(capsys):
@@ -221,6 +221,40 @@ def test_foreign_team_exits_2(capsys):
     code, _, err = run(capsys, "mc", "--model", MODEL, "--team", PROP_TEAM,
                        "--formula", "p")
     assert code == 2 and err.startswith("error:")
+
+
+def test_deep_parentheses_exit_2(capsys):
+    code, out, err = run(capsys, "validity", "--logic", "pl",
+                         "--formula", "(" * 400 + "p" + ")" * 400)
+    assert code == 2 and out == ""
+    assert err.startswith("error: formula nested too deeply")
+
+
+def _json_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_team_file_root_must_be_an_object(capsys, tmp_path):
+    team = _json_file(tmp_path, "team.json", [1, 2])
+    code, _, err = run(capsys, "mc-prop", "--team", team, "--formula", "p")
+    assert code == 2
+    assert err.startswith(f"error: {team}: expected a JSON object")
+
+
+def test_team_file_missing_field_is_named(capsys, tmp_path):
+    team = _json_file(tmp_path, "team.json", {"assignments": [[1]]})
+    code, _, err = run(capsys, "mc-prop", "--team", team, "--formula", "p")
+    assert code == 2
+    assert err.startswith(f"error: {team}: missing field 'domain'")
+
+
+def test_team_file_string_is_not_a_list(capsys, tmp_path):
+    team = _json_file(tmp_path, "team.json", {"team": "ab"})
+    code, _, err = run(capsys, "mc", "--model", MODEL, "--team", team, "--formula", "p")
+    assert code == 2
+    assert err.startswith(f"error: {team}: field 'team' must be a list")
 
 
 def test_parser_rejects_unknown_subcommand():

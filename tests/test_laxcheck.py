@@ -6,6 +6,7 @@ import pytest
 
 from inclogic import (
     Fragment,
+    KripkeModel,
     Semantics,
     embed_prop_team,
     eminc_preprocess,
@@ -19,6 +20,7 @@ from inclogic import (
     maxsub_prop,
     ml_truth_set,
     parse_formula,
+    props,
     sub_occurrences,
     witness_graph,
 )
@@ -138,6 +140,27 @@ def test_final_labels_satisfy_their_subformulas():
             if oid not in lab.labels:
                 continue  # inclusion parameters are not labelled occurrences
             assert eval_team_modal(m, lab.labels[oid], node, Semantics.LAX)
+
+
+def test_labels_cover_occurrences_but_not_inclusion_parameters():
+    m = fig_model()
+    f = parse_formula("([p <= q] | <>r)")
+    lab = lax_labelling(m, {"w1", "s2"}, f)
+    assert sorted(lab.labels) == [2, 3, 4, 5]  # p = 0 and q = 1 are parameters
+    assert [str(node) for oid, node in sub_occurrences(f) if oid in lab.labels] == [
+        "[p <= q]", "r", "<>r", "([p <= q] | <>r)"]
+
+
+@pytest.mark.parametrize("text", [
+    "<>" * 10000 + "p",
+    " & ".join(f"p{i}" for i in range(10000)),
+], ids=["diamonds", "conjuncts"])
+def test_lax_check_decides_deep_formulas(text):
+    f = parse_formula(text)
+    m = KripkeModel(["u", "v"], [("u", "u"), ("v", "u")], {p: ["u"] for p in props(f)})
+    assert lax_check(m, {"u"}, f)
+    assert lax_check(m, {"u", "v"}, f) is text.startswith("<>")
+    assert lax_check(m, {"v"}, parse_formula(text.replace("p", "!p"))) is not text.startswith("<>")
 
 
 def test_labelling_round_count_is_within_bound():

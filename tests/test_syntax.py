@@ -19,12 +19,15 @@ from inclogic import (
     diamond_power,
     disjoin,
     extended_params,
+    fold,
     fragment,
     fresh_props,
     modal_depth,
     nnf_negate,
     parse_formula,
+    postorder,
     props,
+    rebuild,
     render_formula,
     renumbered,
     sub_occurrences,
@@ -216,6 +219,46 @@ def test_structural_equality_ignores_identity():
     g = parse_formula("(p & [q <= r])")
     assert f == g and hash(f) == hash(g)
     assert f != parse_formula("(p | [q <= r])")
+
+
+# 10^4 levels of nesting, ten times the default recursion limit
+DEEP = {
+    "diamonds": ("<>" * 10000 + "p", Fragment.ML, "<>" * 10000 + "p"),
+    "conjuncts": (" & ".join(f"p{i}" for i in range(10000)), Fragment.PL,
+                  "(" * 9999 + "p0 & p1) & p2) & " + " & ".join(f"p{i})" for i in range(3, 10000))),
+}
+
+
+@pytest.mark.parametrize("text, frag, rendered", DEEP.values(), ids=DEEP.keys())
+def test_deep_formulas_need_no_recursion(text, frag, rendered):
+    f = parse_formula(text)
+    g = parse_formula(text)
+    assert f == g and hash(f) == hash(g)
+    assert f != parse_formula(text.replace("p", "q", 1))
+    assert render_formula(f) == rendered
+    assert fragment(f) is frag
+    copy = renumbered(f)
+    assert copy == f and copy.oid == f.oid
+    assert [oid for oid, _ in sub_occurrences(copy)] == list(range(f.oid + 1))
+    assert modal_depth(f) == text.count("<>")
+    assert nnf_negate(nnf_negate(f)) == f
+
+
+def test_postorder_lists_children_before_parents():
+    f = parse_formula("([p <= q] | <>r)")
+    assert [render_formula(n) for n in postorder(f)] == [
+        "p", "q", "[p <= q]", "r", "<>r", "([p <= q] | <>r)"]
+    assert postorder(f) is postorder(f)
+    shared = Atom("p")
+    assert len(postorder(And(shared, shared))) == 3
+
+
+def test_fold_and_rebuild_copy_every_position():
+    shared = Atom("p")
+    f = And(shared, Diamond(shared))
+    copy = fold(f, rebuild)
+    assert copy == f and copy.left is not copy.right.child
+    assert fold(f, lambda node, kids: 1 + sum(kids)) == 4
 
 
 def test_formula_is_base_of_all_nodes():

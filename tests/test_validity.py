@@ -26,6 +26,7 @@ from inclogic import (
     plinc_lax_validity,
     plinc_strict_validity,
     plinc_to_pl,
+    props,
     strict_check,
     strict_check_prop,
 )
@@ -159,21 +160,24 @@ def test_bounded_search_certifies_nothing_but_refutes():
 
 def test_bounded_search_witnesses_falsify():
     rng = random.Random(83)
-    found = 0
-    for _ in range(25):
-        f = gen_formula(rng, ["p"], rng.randint(1, 6))
+    found = extended = 0
+    for i in range(25):
+        # half the formulas may carry extended atoms, preprocessed once per model
+        f = gen_formula(rng, ["p"], rng.randint(1, 6), extended=i % 2 == 0)
         for mode in (Semantics.LAX, Semantics.STRICT):
             v = minc_bounded_counterexample(f, max_worlds=2, mode=mode)
             if v.status != INVALID:
                 continue
             found += 1
+            extended += fragment(f) is Fragment.EMINC
             model, team = v.witness
+            assert model.signature == props(f)  # the original model, no fresh f* names
             if mode is Semantics.LAX:
                 assert not eval_team_modal(model, team, f, Semantics.LAX)
                 assert len(team) == 1
             else:
                 assert not strict_check(model, team, f)
-    assert found >= 10
+    assert found >= 10 and extended >= 4
 
 
 def test_bounded_search_modes_can_disagree_only_via_teams():
