@@ -29,7 +29,6 @@ from .laxcheck import (
     lax_labelling,
     maxsub,
     maxsub_prop,
-    witness_graph,
 )
 from .oracle import (
     Semantics,
@@ -72,14 +71,12 @@ from .structures import (
     KripkeModel,
     PropTeam,
     all_assignments,
-    is_successor_pair,
     load_model,
     load_prop_team,
     load_world_team,
     model_to_json,
     prop_team_to_json,
     r_image,
-    r_preimage,
     world_team_to_json,
 )
 from .syntax import (
@@ -120,7 +117,6 @@ from .validity import (
     inclusion_to_pl_singleton,
     minc_bounded_counterexample,
     pl_validity,
-    plinc_lax_validity,
     plinc_strict_validity,
     plinc_to_pl,
 )

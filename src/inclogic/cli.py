@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import InclogicError, InputError
@@ -45,7 +46,6 @@ from .validity import (
     eminc_val_to_minc,
     minc_bounded_counterexample,
     pl_validity,
-    plinc_lax_validity,
     plinc_strict_validity,
     plinc_to_pl,
 )
@@ -98,59 +98,30 @@ def _verdict_payload(verdict):
 # Subcommand handlers
 
 
-def _cmd_mc(args):
-    model = _load(load_model, args.model)
-    team = _load(load_world_team, args.team, model)
-    formula = parse_formula(args.formula)
-    mode = _mode(args.semantics)
-    if args.force_oracle:
-        result = eval_team_modal(
-            model, team, formula, mode, max_worlds=args.guard_worlds
-        )
-    elif mode is Semantics.LAX:
-        work_model, work_formula = eminc_preprocess(model, formula)
-        trace = _trace_printer() if args.trace else None
-        result = lax_check(work_model, team, work_formula, trace)
-    else:
-        stats = SearchStats()
-        result = strict_check(
-            model, team, formula, max_team=args.guard_team, stats=stats
-        )
-        if args.stats:
-            print(f"explored {stats.explored} search states", file=sys.stderr)
-    return ("true" if result else "false"), None
-
-
-def _cmd_mc_prop(args):
-    team = _load(load_prop_team, args.team)
-    formula = parse_formula(args.formula)
-    mode = _mode(args.semantics)
-    if args.force_oracle:
-        result = eval_team_prop(team, formula, mode, max_team=args.guard_team)
-    elif mode is Semantics.LAX:
-        result = lax_check_prop(team, formula)
-    else:
-        stats = SearchStats()
-        result = strict_check_prop(
-            team, formula, max_team=args.guard_team, stats=stats
-        )
-        if args.stats:
-            print(f"explored {stats.explored} search states", file=sys.stderr)
-    return ("true" if result else "false"), None
-
-
-def _cmd_oracle(args):
-    formula = parse_formula(args.formula)
-    mode = _mode(args.semantics)
+def _cmd_check(args):
+    """mc and mc-prop, and their brute-force twins under oracle."""
+    guard = {} if args.guard_team is None else {"max_team": args.guard_team}
     if args.kind == "mc":
         model = _load(load_model, args.model)
         team = _load(load_world_team, args.team, model)
-        result = eval_team_modal(
-            model, team, formula, mode, max_worlds=args.guard_worlds
-        )
+        oracle = partial(eval_team_modal, model, max_worlds=args.guard_worlds)
+        lax = partial(lax_check, model, trace=_trace_printer() if args.trace else None)
+        strict = partial(strict_check, model)
     else:
         team = _load(load_prop_team, args.team)
-        result = eval_team_prop(team, formula, mode, max_team=args.guard_team)
+        oracle = partial(eval_team_prop, **guard)
+        lax, strict = lax_check_prop, strict_check_prop
+    formula = parse_formula(args.formula)
+    mode = _mode(args.semantics)
+    if args.force_oracle:
+        result = oracle(team, formula, mode)
+    elif mode is Semantics.LAX:
+        result = lax(team, formula)
+    else:
+        stats = SearchStats()
+        result = strict(team, formula, stats=stats, **guard)
+        if args.stats:
+            print(f"explored {stats.explored} search states", file=sys.stderr)
     return ("true" if result else "false"), None
 
 
@@ -158,10 +129,8 @@ def _cmd_validity(args):
     formula = parse_formula(args.formula)
     if args.logic == "pl":
         verdict = pl_validity(formula)
-    elif args.logic == "plinc-strict":
+    elif args.logic in ("plinc-strict", "plinc-lax"):
         verdict = plinc_strict_validity(formula)
-    elif args.logic == "plinc-lax":
-        verdict = plinc_lax_validity(formula)
     else:
         verdict = minc_bounded_counterexample(
             formula,
@@ -188,72 +157,38 @@ def _cmd_translate(args):
 
 
 def _cmd_gen(args):
-    if args.kind == "mcvp":
-        circuit = load_circuit(Path(args.circuit).read_text())
-        if not args.input or set(args.input) - {"0", "1"}:
-            raise ValueError("--input must be a non-empty string of 0s and 1s")
-        bits = [int(ch) for ch in args.input]
-        team, formula = mcvp_encode(circuit, bits)
+    if args.kind == "dqbf":
+        inst = load_dqbf(Path(args.instance).read_text())
+        formula = dqbf_encode_nonvalidity(inst)
+        payload = {"formula": str(formula)}
+        oracle_name, oracle = "oracle nonvalid", lambda: dqbf_oracle(inst) == NONVALID
+        check_name = "body on canonical models"
+        check = lambda: dqbf_canonical_sweep(inst, _mode(args.check))
+    else:
+        if args.kind == "mcvp":
+            circuit = load_circuit(Path(args.circuit).read_text())
+            if not args.input or set(args.input) - {"0", "1"}:
+                raise ValueError("--input must be a non-empty string of 0s and 1s")
+            bits = [int(ch) for ch in args.input]
+            team, formula = mcvp_encode(circuit, bits)
+            oracle_name, oracle = "circuit output", lambda: evaluate_circuit(circuit, bits)
+        else:
+            inst = load_setsplit(Path(args.family).read_text())
+            team, formula = setsplit_encode(inst)
+            oracle_name, oracle = "split oracle", lambda: split_oracle(inst)
         payload = {"team": prop_team_to_json(team), "formula": str(formula)}
-        if args.check:
-            expected = bool(evaluate_circuit(circuit, bits))
-            if args.check == "lax":
-                got = lax_check_prop(team, formula)
-            else:
-                got = strict_check_prop(team, formula)
-            print(
-                f"circuit output {int(expected)}, {args.check} check {got}",
-                file=sys.stderr,
-            )
-            return ("true" if got == expected else "false"), payload
+        check_name = f"{args.check} check"
+        checker = lax_check_prop if args.check == "lax" else strict_check_prop
+        check = lambda: checker(team, formula)
+    if not args.check:
         return "true", payload
-
-    if args.kind == "setsplit":
-        inst = load_setsplit(Path(args.family).read_text())
-        team, formula = setsplit_encode(inst)
-        payload = {"team": prop_team_to_json(team), "formula": str(formula)}
-        if args.check:
-            expected = split_oracle(inst)
-            if args.check == "lax":
-                got = lax_check_prop(team, formula)
-            else:
-                got = strict_check_prop(team, formula)
-            print(
-                f"split oracle {expected}, {args.check} check {got}",
-                file=sys.stderr,
-            )
-            return ("true" if got == expected else "false"), payload
-        return "true", payload
-
-    inst = load_dqbf(Path(args.instance).read_text())
-    formula = dqbf_encode_nonvalidity(inst)
-    payload = {"formula": str(formula)}
-    if args.check:
-        expected = dqbf_oracle(inst) == NONVALID
-        got = dqbf_canonical_sweep(inst, _mode(args.check))
-        print(
-            f"oracle nonvalid {expected}, body on canonical models {got}",
-            file=sys.stderr,
-        )
-        return ("true" if got == expected else "false"), payload
-    return "true", payload
+    expected, got = oracle(), check()
+    print(f"{oracle_name} {expected}, {check_name} {got}", file=sys.stderr)
+    return ("true" if got == expected else "false"), payload
 
 
 # ---------------------------------------------------------------------------
 # Parser
-
-
-def _add_guards(parser, *, team=True, worlds=True):
-    if team:
-        parser.add_argument(
-            "--guard-team", type=int, default=12, metavar="N",
-            help="team-size guard for exhaustive procedures",
-        )
-    if worlds:
-        parser.add_argument(
-            "--guard-worlds", type=int, default=12, metavar="N",
-            help="world-count guard for exhaustive procedures",
-        )
 
 
 def _add_semantics(parser):
@@ -263,6 +198,34 @@ def _add_semantics(parser):
     )
 
 
+def _add_check(sub, kind, help, *, oracle=False):
+    """An ``mc`` (world team) or ``mc-prop`` (propositional team) subcommand;
+    under ``oracle`` it always runs the brute-force evaluator."""
+    cmd = sub.add_parser(kind, help=help)
+    if kind == "mc":
+        cmd.add_argument("--model", required=True, help="Kripke model JSON file")
+        cmd.add_argument("--team", required=True, help="world team JSON file")
+    else:
+        cmd.add_argument("--team", required=True, help="propositional team JSON file")
+    cmd.add_argument("--formula", required=True)
+    _add_semantics(cmd)
+    if not oracle:
+        cmd.add_argument("--force-oracle", action="store_true",
+                         help="use the brute-force evaluator instead")
+        if kind == "mc":
+            cmd.add_argument("--trace", action="store_true",
+                             help="print labelling rounds to stderr")
+        cmd.add_argument("--stats", action="store_true",
+                         help="print strict-search statistics to stderr")
+    cmd.add_argument("--guard-team", type=int, metavar="N",
+                     help="team-size guard for exhaustive procedures (default: the "
+                          "procedure's own, 16 strict, 12 oracle)")
+    if kind == "mc":
+        cmd.add_argument("--guard-worlds", type=int, default=12, metavar="N",
+                         help="world-count guard for exhaustive procedures")
+    cmd.set_defaults(handler=_cmd_check, kind=kind, force_oracle=oracle, trace=False, stats=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inclogic",
@@ -270,46 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mc = sub.add_parser("mc", help="modal model checking")
-    mc.add_argument("--model", required=True, help="Kripke model JSON file")
-    mc.add_argument("--team", required=True, help="world team JSON file")
-    mc.add_argument("--formula", required=True)
-    _add_semantics(mc)
-    mc.add_argument("--force-oracle", action="store_true",
-                    help="use the brute-force evaluator instead")
-    mc.add_argument("--trace", action="store_true",
-                    help="print labelling rounds to stderr")
-    mc.add_argument("--stats", action="store_true",
-                    help="print strict-search statistics to stderr")
-    _add_guards(mc)
-    mc.set_defaults(handler=_cmd_mc)
-
-    mcp = sub.add_parser("mc-prop", help="propositional model checking")
-    mcp.add_argument("--team", required=True, help="propositional team JSON file")
-    mcp.add_argument("--formula", required=True)
-    _add_semantics(mcp)
-    mcp.add_argument("--force-oracle", action="store_true",
-                     help="use the brute-force evaluator instead")
-    mcp.add_argument("--stats", action="store_true",
-                     help="print strict-search statistics to stderr")
-    _add_guards(mcp, worlds=False)
-    mcp.set_defaults(handler=_cmd_mc_prop)
-
+    _add_check(sub, "mc", "modal model checking")
+    _add_check(sub, "mc-prop", "propositional model checking")
     oracle = sub.add_parser("oracle", help="brute-force evaluators")
     okind = oracle.add_subparsers(dest="kind", required=True)
-    omc = okind.add_parser("mc", help="modal brute force")
-    omc.add_argument("--model", required=True)
-    omc.add_argument("--team", required=True)
-    omc.add_argument("--formula", required=True)
-    _add_semantics(omc)
-    _add_guards(omc)
-    omc.set_defaults(handler=_cmd_oracle, kind="mc")
-    omcp = okind.add_parser("mc-prop", help="propositional brute force")
-    omcp.add_argument("--team", required=True)
-    omcp.add_argument("--formula", required=True)
-    _add_semantics(omcp)
-    _add_guards(omcp, worlds=False)
-    omcp.set_defaults(handler=_cmd_oracle, kind="mc-prop")
+    _add_check(okind, "mc", "modal brute force", oracle=True)
+    _add_check(okind, "mc-prop", "propositional brute force", oracle=True)
 
     val = sub.add_parser("validity", help="validity procedures")
     val.add_argument(
@@ -365,8 +294,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: formula nested too deeply for the recursive parts (parenthesis "
-              "depth, strict and oracle searches)", file=sys.stderr)
+        print("error: formula nested too deeply for the recursive parts (strict and "
+              "oracle searches)", file=sys.stderr)
         return 2
     print(f"RESULT: {verdict}")
     if payload is not None:

@@ -20,7 +20,10 @@ Three pieces:
 * ``eminc_preprocess``: eliminates extended inclusion atoms by naming each
   non-atomic parameter with a fresh proposition whose valuation is the
   parameter's pointwise truth set.  Sound because parameters are evaluated
-  pointwise at single worlds.
+  pointwise at single worlds.  ``lax_check`` applies it before labelling.
+
+Propositional teams are checked as edgeless models with one world per
+assignment (``embed_prop_team``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Iterable
 
 from .errors import FragmentError
 from .oracle import ml_truth_set
-from .structures import Assignment, KripkeModel, PropTeam, r_image
+from .structures import KripkeModel, PropTeam, r_image
 from .syntax import (
     LITERALS,
     And,
@@ -46,6 +49,7 @@ from .syntax import (
     extended_params,
     fragment,
     fresh_props,
+    postorder,
     props,
     render_formula,
     sub_occurrences,
@@ -57,32 +61,27 @@ from .syntax import (
 # Maximal satisfying subteams for literals
 
 
-def _maxsub_core(members, value_of, lit) -> frozenset:
+def maxsub(m: KripkeModel, t: Iterable[str], lit: Formula) -> frozenset[str]:
+    """The maximal subteam of t satisfying a literal, over a Kripke model."""
+    team = m.team(t)
     if isinstance(lit, Atom):
-        return frozenset(u for u in members if value_of(u, lit.name) == 1)
+        return team & m.extent(lit.name)
     if isinstance(lit, NegAtom):
-        return frozenset(u for u in members if value_of(u, lit.name) == 0)
+        return team - m.extent(lit.name)
     if not isinstance(lit, Inclusion):
         raise FragmentError(f"literal expected, got {render_formula(lit)!r}")
-    lhs = []
-    rhs = []
-    for p in lit.lhs:
-        if not isinstance(p, Atom):
-            raise FragmentError("eliminate extended inclusion atoms before lax checking")
-        lhs.append(p.name)
-    for q in lit.rhs:
-        if not isinstance(q, Atom):
-            raise FragmentError("eliminate extended inclusion atoms before lax checking")
-        rhs.append(q.name)
-
-    left = {u: tuple(value_of(u, p) for p in lhs) for u in members}
-    right = {u: tuple(value_of(u, q) for q in rhs) for u in members}
+    if not all(isinstance(p, Atom) for p in lit.children()):
+        raise FragmentError("eliminate extended inclusion atoms before lax checking")
+    lhs = [m.extent(p.name) for p in lit.lhs]
+    rhs = [m.extent(q.name) for q in lit.rhs]
+    left = {u: tuple(u in s for s in lhs) for u in team}
+    right = {u: tuple(u in s for s in rhs) for u in team}
     by_left = defaultdict(list)
-    for u in members:
+    for u in team:
         by_left[left[u]].append(u)
     support = Counter(right.values())
 
-    alive = set(members)
+    alive = set(team)
     exhausted = deque(t for t in by_left if support[t] == 0)
     dead_rows = set()
     while exhausted:
@@ -100,34 +99,14 @@ def _maxsub_core(members, value_of, lit) -> frozenset:
     return frozenset(alive)
 
 
-def maxsub(m: KripkeModel, t: Iterable[str], lit: Formula) -> frozenset[str]:
-    """The maximal subteam of t satisfying a literal, over a Kripke model."""
-    team = m.team(t)
-    return _maxsub_core(team, lambda w, p: 1 if m.truth(p, w) else 0, lit)
-
-
 def maxsub_prop(x: PropTeam, lit: Formula) -> PropTeam:
     """Propositional variant of maxsub, over teams of assignments."""
-    kept = _maxsub_core(frozenset(x.members), lambda a, p: a[p], lit)
-    return x.subteam(kept)
 
+    def kept(model: KripkeModel, team: frozenset[str], lit: Formula) -> PropTeam:
+        alive = maxsub(model, team, lit)
+        return x.subteam(a for a, w in zip(x.members, model.worlds) if w in alive)
 
-def witness_graph(m: KripkeModel, t: Iterable[str], atom: Inclusion) -> dict[str, frozenset[str]]:
-    """The inclusion-compatibility graph on a team: an edge u -> v when u's
-    left-hand value row equals v's right-hand row (self-loops permitted).
-
-    Deleting out-degree-0 vertices until stable yields maxsub; this explicit
-    form exists for inspection and cross-checking.
-    """
-    team = m.team(t)
-    lhs = [p.name for p in atom.lhs]
-    rhs = [q.name for q in atom.rhs]
-    rows_l = {w: tuple(1 if m.truth(p, w) else 0 for p in lhs) for w in team}
-    rows_r = {w: tuple(1 if m.truth(q, w) else 0 for q in rhs) for w in team}
-    return {
-        u: frozenset(v for v in team if rows_l[u] == rows_r[v])
-        for u in team
-    }
+    return _on_prop_team(x, lit, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +146,7 @@ def lax_labelling(
         if i % 2 == 1:
             for n in occs:
                 if isinstance(n, LITERALS):
-                    cur[n.oid] = _maxsub_core(
-                        prev[n.oid], lambda w, p: 1 if m.truth(p, w) else 0, n
-                    )
+                    cur[n.oid] = maxsub(m, prev[n.oid], n)
                 elif isinstance(n, And):
                     cur[n.oid] = cur[n.left.oid] & cur[n.right.oid]
                 elif isinstance(n, Or):
@@ -208,18 +185,23 @@ def lax_check(
     trace: Callable[[int, dict[int, frozenset[str]]], None] | None = None,
 ) -> bool:
     """Polynomial lax model checking: the team satisfies the formula exactly
-    when the root's stable label equals the team."""
+    when the root's stable label equals the team.
+
+    Extended inclusion atoms are eliminated up front via eminc_preprocess,
+    so the labels passed to ``trace`` are those of the preprocessed formula.
+    """
+    m, f = eminc_preprocess(m, f)
     team = m.team(t)
     return lax_labelling(m, team, f, trace).labels[f.oid] == team
 
 
 # ---------------------------------------------------------------------------
-# Propositional entry point via a one-layer model
+# Propositional teams via a one-layer model
 
 
 def embed_prop_team(x: PropTeam) -> tuple[KripkeModel, frozenset[str]]:
     """Embed a propositional team as an edgeless Kripke model with one world
-    per assignment; the world team is the whole world set."""
+    per assignment, in member order; the world team is the whole world set."""
     names = {}
     for a in x.members:
         names[a] = "a" + "".join(str(b) for b in a.project(x.domain))
@@ -228,13 +210,22 @@ def embed_prop_team(x: PropTeam) -> tuple[KripkeModel, frozenset[str]]:
     return model, frozenset(names.values())
 
 
+def _on_prop_team(x: PropTeam, f: Formula, check: Callable):
+    """``check(model, team, f)`` on the one-layer embedding of ``x``.
+
+    Raises FragmentError on a diamond or box: a propositional team has no
+    successors to step to.
+    """
+    if any(isinstance(n, (Diamond, Box)) for n in postorder(f)):
+        raise FragmentError(f"propositional formula expected, got {fragment(f).value}")
+    model, team = embed_prop_team(x)
+    return check(model, team, f)
+
+
 def lax_check_prop(x: PropTeam, f: Formula) -> bool:
     """Lax model checking over a propositional team, via the one-layer
-    embedding (extended propositional atoms are preprocessed away)."""
-    model, team = embed_prop_team(x)
-    if fragment(f) is Fragment.EMINC:
-        model, f = eminc_preprocess(model, f)
-    return lax_check(model, team, f)
+    embedding."""
+    return _on_prop_team(x, f, lax_check)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     FragmentError,
     ForeignWorldError,
     NotEmincError,
     SizeGuardError,
-    UnboundPropError,
 )
 from .structures import Assignment, KripkeModel, PropTeam, r_image
 from .syntax import (
@@ -42,6 +41,7 @@ from .syntax import (
     Inclusion,
     NegAtom,
     Or,
+    fold,
     fragment,
     render_formula,
 )
@@ -73,22 +73,24 @@ def eval_pl_tarski(s: Assignment, f: Formula) -> bool:
 
 def ml_truth_set(m: KripkeModel, f: Formula) -> frozenset[str]:
     """The set of worlds where a plain modal-logic formula is true."""
-    if isinstance(f, (Atom, NegAtom)):
-        if f.name not in m.valuation:
-            raise UnboundPropError(f"proposition {f.name!r} is outside the model signature")
-        base = m.valuation[f.name]
-        return base if isinstance(f, Atom) else frozenset(m.worlds) - base
-    if isinstance(f, And):
-        return ml_truth_set(m, f.left) & ml_truth_set(m, f.right)
-    if isinstance(f, Or):
-        return ml_truth_set(m, f.left) | ml_truth_set(m, f.right)
-    if isinstance(f, Diamond):
-        inner = ml_truth_set(m, f.child)
-        return frozenset(w for w in m.worlds if m.succ[w] & inner)
-    if isinstance(f, Box):
-        inner = ml_truth_set(m, f.child)
-        return frozenset(w for w in m.worlds if m.succ[w] <= inner)
-    raise FragmentError(f"plain modal formula expected, got {render_formula(f)!r}")
+    if fragment(f) not in (Fragment.PL, Fragment.ML):
+        raise FragmentError(f"plain modal formula expected, got {render_formula(f)!r}")
+    full = frozenset(m.worlds)
+
+    def truth(node: Formula, kids: Sequence[frozenset[str]]) -> frozenset[str]:
+        if isinstance(node, Atom):
+            return m.extent(node.name)
+        if isinstance(node, NegAtom):
+            return full - m.extent(node.name)
+        if isinstance(node, And):
+            return kids[0] & kids[1]
+        if isinstance(node, Or):
+            return kids[0] | kids[1]
+        if isinstance(node, Diamond):
+            return frozenset(w for w in m.worlds if m.succ[w] & kids[0])
+        return frozenset(w for w in m.worlds if m.succ[w] <= kids[0])
+
+    return fold(f, truth)
 
 
 def eval_ml_tarski(m: KripkeModel, world: str, f: Formula) -> bool:

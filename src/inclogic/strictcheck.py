@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from .errors import SizeGuardError
-from .laxcheck import embed_prop_team, eminc_preprocess
+from .laxcheck import _on_prop_team, eminc_preprocess
 from .structures import KripkeModel, PropTeam, r_image
-from .syntax import LITERALS, And, Atom, Diamond, Formula, Fragment, NegAtom, Or, fragment
+from .syntax import LITERALS, And, Atom, Diamond, Formula, NegAtom, Or
 
 
 @dataclass
@@ -44,8 +45,7 @@ def strict_check(
     Raises SizeGuardError when a team exceeds ``max_team`` or the search
     visits more than ``max_states`` states.
     """
-    if fragment(f) is Fragment.EMINC:
-        m, f = eminc_preprocess(m, f)
+    m, f = eminc_preprocess(m, f)
     team = m.team(t)
     if stats is None:
         stats = SearchStats()
@@ -120,5 +120,5 @@ def strict_check_prop(
     stats: SearchStats | None = None,
 ) -> bool:
     """Strict checking over a propositional team via the one-layer embedding."""
-    model, team = embed_prop_team(x)
-    return strict_check(model, team, f, max_team=max_team, max_states=max_states, stats=stats)
+    check = partial(strict_check, max_team=max_team, max_states=max_states, stats=stats)
+    return _on_prop_team(x, f, check)

@@ -153,20 +153,24 @@ class KripkeModel:
     def signature(self) -> frozenset[str]:
         return frozenset(self.valuation)
 
+    def extent(self, prop: str) -> frozenset[str]:
+        """The worlds where ``prop`` is true."""
+        try:
+            return self.valuation[prop]
+        except KeyError:
+            raise UnboundPropError(f"proposition {prop!r} is outside the model signature") from None
+
     def truth(self, prop: str, world: str) -> bool:
         if world not in self.succ:
             raise ForeignWorldError(f"unknown world {world!r}")
-        try:
-            return world in self.valuation[prop]
-        except KeyError:
-            raise UnboundPropError(f"proposition {prop!r} is outside the model signature") from None
+        return world in self.extent(prop)
 
     def team(self, worlds: Iterable[str]) -> frozenset[str]:
         """Validate a collection of world names as a team of this model."""
         team = frozenset(worlds)
-        bad = team - frozenset(self.worlds)
-        if bad:
-            raise ForeignWorldError(f"team references unknown worlds {sorted(bad)}")
+        if not team <= self.succ.keys():  # succ has every world as a key
+            bad = sorted(team - self.succ.keys())
+            raise ForeignWorldError(f"team references unknown worlds {bad}")
         return team
 
     def __repr__(self):
@@ -180,23 +184,6 @@ def r_image(m: KripkeModel, team: Iterable[str]) -> frozenset[str]:
     for w in team:
         out |= m.succ[w]
     return frozenset(out)
-
-
-def r_preimage(m: KripkeModel, team: Iterable[str]) -> frozenset[str]:
-    """All predecessors of team members: R^-1[T]."""
-    team = m.team(team)
-    out: set[str] = set()
-    for w in team:
-        out |= m.pred[w]
-    return frozenset(out)
-
-
-def is_successor_pair(m: KripkeModel, t: Iterable[str], s: Iterable[str]) -> bool:
-    """The covering successor relation T[R]S: every member of t has a
-    successor in s, and every member of s has a predecessor in t."""
-    t = m.team(t)
-    s = m.team(s)
-    return all(m.succ[w] & s for w in t) and all(m.pred[v] & t for v in s)
 
 
 def all_assignments(domain: Iterable[str], max_count: int = 2**20) -> list[Assignment]:

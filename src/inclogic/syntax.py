@@ -215,13 +215,27 @@ def _tokenize(text: str) -> list[tuple[str, int, str]]:
 _MODALITIES = {"<>": Diamond, "[]": Box}
 
 
+class _Group:
+    """An open '(' or '[', or the whole input (opener None): the disjunction
+    and conjunction read so far and, in an inclusion atom, the parameters
+    read so far with the index where the right-hand side starts."""
+
+    __slots__ = ("opener", "mods", "disj", "conj", "params", "split")
+
+    def __init__(self, opener, mods: range):
+        self.opener = opener
+        self.mods = mods  # token positions of the modalities in front of it
+        self.disj = self.conj = self.split = None
+        self.params: list[Formula] = []
+
+
 class _Parser:
+    """Reads the grammar with an explicit stack of open groups, so nesting
+    depth is bounded by memory, not by Python's recursion limit."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
 
     def take(self, kind: str):
         tok = self.tokens[self.pos]
@@ -232,72 +246,78 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.disj()
+        tokens = self.tokens
+        stack = [_Group(None, range(0))]
+        while True:
+            start = self.pos
+            while tokens[self.pos][0] in _MODALITIES:
+                self.pos += 1
+            mods = range(start, self.pos)
+            tok = tokens[self.pos]
+            if tok[0] in ("(", "["):
+                self.pos += 1
+                stack.append(_Group(tok, mods))
+                continue
+            f = self.wrap(self.literal(), mods)
+            while (f := self.add(stack[-1], f)) is not None:  # f closed the group
+                group = stack.pop()
+                if not stack:
+                    return f
+                f = self.wrap(f, group.mods)
+
+    def wrap(self, f: Formula, mods: range) -> Formula:
+        for i in reversed(mods):  # innermost first
+            f = _MODALITIES[self.tokens[i][0]](f)
+        return f
+
+    def literal(self) -> Formula:
         tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected trailing input {tok[2]!r}", tok[1])
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.take("|")
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.take("&")
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        start = end = self.pos
-        while self.peek() in _MODALITIES:
-            end = self.pos = end + 1
-        f = self.primary()
-        while end > start:  # wrap innermost first
-            end -= 1
-            f = _MODALITIES[self.tokens[end][0]](f)
-        return f
-
-    def primary(self) -> Formula:
-        kind = self.peek()
-        if kind == "ident":
-            tok = self.take("ident")
+        if tok[0] == "ident":
+            self.pos += 1
             return Atom(tok[2])
-        if kind == "!":
-            self.take("!")
-            tok = self.take("ident")
-            return NegAtom(tok[2])
-        if kind == "(":
-            self.take("(")
-            f = self.disj()
-            self.take(")")
-            return f
-        if kind == "[":
-            open_tok = self.take("[")
-            lhs = self.flist()
-            self.take("<=")
-            rhs = self.flist()
-            self.take("]")
-            if len(lhs) != len(rhs):
-                raise ParseError(
-                    f"inclusion atom sides must have equal length, got {len(lhs)} and {len(rhs)}",
-                    open_tok[1],
-                )
-            return Inclusion(lhs, rhs)
-        tok = self.tokens[self.pos]
+        if tok[0] == "!":
+            self.pos += 1
+            return NegAtom(self.take("ident")[2])
         got = tok[2] or "end of input"
         raise ParseError(f"expected a formula, got {got!r}", tok[1])
 
-    def flist(self) -> list[Formula]:
-        parts = [self.disj()]
-        while self.peek() == ",":
-            self.take(",")
-            parts.append(self.disj())
-        return parts
+    def add(self, group: _Group, f: Formula) -> Formula | None:
+        """Add an operand to the innermost group.  Return the group's formula
+        if the next token closes the group, else take the separator and
+        return None."""
+        group.conj = f if group.conj is None else And(group.conj, f)
+        kind = self.tokens[self.pos][0]
+        if kind == "&":
+            self.pos += 1
+            return None
+        group.disj = group.conj if group.disj is None else Or(group.disj, group.conj)
+        group.conj = None
+        if kind == "|":
+            self.pos += 1
+            return None
+        f, group.disj = group.disj, None
+        if group.opener is None:
+            if kind != "eof":
+                tok = self.tokens[self.pos]
+                raise ParseError(f"unexpected trailing input {tok[2]!r}", tok[1])
+            return f
+        if group.opener[0] == "(":
+            self.take(")")
+            return f
+        group.params.append(f)
+        if kind == "," or (kind == "<=" and group.split is None):
+            if kind == "<=":
+                group.split = len(group.params)
+            self.pos += 1
+            return None
+        self.take("<=" if group.split is None else "]")
+        lhs, rhs = group.params[: group.split], group.params[group.split:]
+        if len(lhs) != len(rhs):
+            raise ParseError(
+                f"inclusion atom sides must have equal length, got {len(lhs)} and {len(rhs)}",
+                group.opener[1],
+            )
+        return Inclusion(lhs, rhs)
 
 
 def parse_formula(text: str) -> Formula:

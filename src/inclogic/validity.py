@@ -120,7 +120,12 @@ def pl_validity(f: Formula, *, max_vars: int = 24) -> Verdict:
 
 def plinc_strict_validity(f: Formula, *, max_vars: int = 24) -> Verdict:
     """Validity of a propositional inclusion-logic formula under strict
-    semantics; an INVALID verdict carries a falsifying singleton team."""
+    semantics; an INVALID verdict carries a falsifying singleton team.
+
+    It decides lax validity too: lax and strict coincide on singleton teams,
+    and lax satisfaction is union closed, so validity reduces to singleton
+    teams under both split rules.
+    """
     star = plinc_to_pl(f)
     inner = pl_validity(star, max_vars=max_vars)
     if inner.status == VALID:
@@ -128,16 +133,6 @@ def plinc_strict_validity(f: Formula, *, max_vars: int = 24) -> Verdict:
     domain = sorted(props(f))
     witness = PropTeam(domain, [inner.witness])
     return Verdict(INVALID, witness=witness)
-
-
-def plinc_lax_validity(f: Formula, *, max_vars: int = 24) -> Verdict:
-    """Validity under lax semantics.
-
-    Identical to the strict procedure: lax and strict coincide on singleton
-    teams, and lax satisfaction is union closed, so validity reduces to
-    singleton teams under both split rules.
-    """
-    return plinc_strict_validity(f, max_vars=max_vars)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_foreign_team_exits_2(capsys):
 
 def test_deep_parentheses_exit_2(capsys):
     code, out, err = run(capsys, "validity", "--logic", "pl",
-                         "--formula", "(" * 400 + "p" + ")" * 400)
+                         "--formula", "(" * 5000 + "p" + " & p)" * 5000)
     assert code == 2 and out == ""
     assert err.startswith("error: formula nested too deeply")
 
@@ -255,6 +255,36 @@ def test_team_file_string_is_not_a_list(capsys, tmp_path):
     code, _, err = run(capsys, "mc", "--model", MODEL, "--team", team, "--formula", "p")
     assert code == 2
     assert err.startswith(f"error: {team}: field 'team' must be a list")
+
+
+def test_mc_prop_rejects_modal_formulas(capsys):
+    for extra in ((), ("--semantics", "strict"), ("--force-oracle",)):
+        code, out, err = run(capsys, "mc-prop", "--team", PROP_TEAM,
+                             "--formula", "<>p", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: propositional")
+
+
+def test_guard_team_defaults_to_each_procedures_own(capsys, tmp_path):
+    worlds = [f"w{i}" for i in range(13)]
+    model = _json_file(tmp_path, "model.json",
+                       {"worlds": worlds, "edges": [], "valuation": {"p": worlds}})
+    team = _json_file(tmp_path, "team.json", {"team": worlds})
+    strict = ("mc", "--model", model, "--team", team, "--formula", "p",
+              "--semantics", "strict")
+    code, out, _ = run(capsys, *strict)
+    assert code == 0 and first_line(out) == "RESULT: true"
+    code, _, err = run(capsys, *strict, "--guard-team", "12")
+    assert code == 2 and "exceeds the strict guard of 12" in err
+    rows = [[i >> k & 1 for k in range(4)] for i in range(13)]
+    prop_team = _json_file(tmp_path, "prop.json",
+                           {"domain": ["p", "q", "r", "s"], "assignments": rows})
+    code, out, _ = run(capsys, "mc-prop", "--team", prop_team, "--formula", "(p | !p)",
+                       "--semantics", "strict")
+    assert code == 0
+    code, _, err = run(capsys, "oracle", "mc-prop", "--team", prop_team,
+                       "--formula", "(p | !p)")
+    assert code == 2 and "exceeds the oracle guard of 12" in err
 
 
 def test_parser_rejects_unknown_subcommand():

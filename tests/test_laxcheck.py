@@ -21,10 +21,10 @@ from inclogic import (
     ml_truth_set,
     parse_formula,
     props,
+    strict_check_prop,
     sub_occurrences,
-    witness_graph,
 )
-from inclogic.errors import FragmentError
+from inclogic.errors import FragmentError, UnboundPropError
 
 from helpers import (
     brute_maxsub_prop,
@@ -81,22 +81,6 @@ def test_maxsub_is_the_union_of_satisfying_subteams():
         atom = parse_formula(f"[{','.join(lhs)} <= {','.join(rhs)}]")
         got = frozenset(maxsub_prop(x, atom).members)
         assert got == brute_maxsub_prop(x, atom)
-
-
-def test_witness_graph_matches_row_equalities():
-    m = fig_model()
-    atom = parse_formula("[p <= r]")
-    g = witness_graph(m, {"s1", "s2", "s3"}, atom)
-    assert g["s1"] == frozenset({"s2"})
-    assert g["s2"] == frozenset({"s2"})
-    assert g["s3"] == frozenset({"s1", "s3"})
-    stable = set(g)
-    while True:
-        kept = {u for u in stable if g[u] & stable}
-        if kept == stable:
-            break
-        stable = kept
-    assert frozenset(stable) == maxsub(m, {"s1", "s2", "s3"}, atom)
 
 
 def test_lax_check_regression_tables():
@@ -243,9 +227,33 @@ def test_preprocessed_check_matches_direct_extended_oracle():
         f = gen_formula(rng, ["p", "q"], rng.randint(1, 6), extended=True)
         m2, f2 = eminc_preprocess(m, f)
         assert lax_check(m2, t, f2) == eval_team_modal(m, t, f, Semantics.LAX)
+        assert lax_check(m, t, f) == lax_check(m2, t, f2)
 
 
-def test_lax_check_rejects_unpreprocessed_extended_atoms():
+def test_lax_labelling_rejects_unpreprocessed_extended_atoms():
     m = fig_model()
     with pytest.raises(FragmentError):
-        lax_check(m, {"w1"}, parse_formula("[<>p <= q]"))
+        lax_labelling(m, {"w1"}, parse_formula("[<>p <= q]"))
+
+
+def test_lax_check_decides_deeply_nested_parameters():
+    f = parse_formula("[" + "<>" * 1500 + "p <= q]")
+    m = KripkeModel(["u", "v"], [("u", "u")], {"p": ["u"], "q": []})
+    assert lax_check(m, {"v"}, f)
+    assert not lax_check(m, {"u"}, f)
+
+
+def test_prop_entry_points_reject_modal_formulas():
+    x, s1, s2, s3 = fig_team()
+    for text in ("<>p", "[]!p", "[<>p <= q]"):
+        f = parse_formula(text)
+        for check in (lax_check_prop, strict_check_prop, maxsub_prop):
+            with pytest.raises(FragmentError):
+                check(x, f)
+
+
+def test_maxsub_rejects_propositions_outside_the_signature():
+    m = fig_model()
+    for text in ("x", "!x", "[p <= x]"):
+        with pytest.raises(UnboundPropError):
+            maxsub(m, {"w1"}, parse_formula(text))

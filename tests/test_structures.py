@@ -10,14 +10,12 @@ from inclogic import (
     KripkeModel,
     PropTeam,
     all_assignments,
-    is_successor_pair,
     load_model,
     load_prop_team,
     load_world_team,
     model_to_json,
     prop_team_to_json,
     r_image,
-    r_preimage,
     world_team_to_json,
 )
 from inclogic.errors import ForeignWorldError, SizeGuardError, UnboundPropError
@@ -106,18 +104,7 @@ def test_model_team_validation_and_successors():
 def test_image_operators_on_reference_model():
     m = fig_model()
     assert r_image(m, {"w1", "w3"}) == frozenset({"s1", "s2", "s3"})
-    assert r_preimage(m, {"s1"}) == frozenset({"w1"})
     assert r_image(m, frozenset()) == frozenset()
-
-
-def test_covering_successor_relation():
-    m = fig_model()
-    assert is_successor_pair(m, {"w1", "w2", "w3"}, {"s1", "s2", "s3"})
-    assert is_successor_pair(m, {"w1"}, {"s1"})
-    assert is_successor_pair(m, {"w1"}, {"s1", "s2"})
-    assert not is_successor_pair(m, {"w1"}, {"s3"})
-    assert not is_successor_pair(m, {"w1"}, {"s1", "s3"})
-    assert not is_successor_pair(m, {"s1"}, {"s1"})
 
 
 def test_all_assignments_counts_in_binary_order():

@@ -244,6 +244,12 @@ def test_deep_formulas_need_no_recursion(text, frag, rendered):
     assert nnf_negate(nnf_negate(f)) == f
 
 
+def test_parser_reads_deep_parentheses():
+    chain = conjoin(Atom(f"p{i}") for i in range(10000))
+    assert parse_formula(render_formula(chain)) == chain
+    assert parse_formula("(" * 5000 + "p" + ")" * 5000) == Atom("p")
+
+
 def test_postorder_lists_children_before_parents():
     f = parse_formula("([p <= q] | <>r)")
     assert [render_formula(n) for n in postorder(f)] == [

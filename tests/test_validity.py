@@ -23,7 +23,6 @@ from inclogic import (
     minc_bounded_counterexample,
     parse_formula,
     pl_validity,
-    plinc_lax_validity,
     plinc_strict_validity,
     plinc_to_pl,
     props,
@@ -85,7 +84,6 @@ def test_plinc_validity_reference_verdicts():
     v = plinc_strict_validity(parse_formula("[p <= q]"))
     assert v.status == INVALID
     assert v.witness == PropTeam(["p", "q"], [Assignment({"p": 0, "q": 1})])
-    assert plinc_lax_validity(parse_formula("[p <= q]")).status == INVALID
 
 
 def test_invalid_witness_team_actually_falsifies():
