@@ -15,7 +15,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .errors import InclogicError, InputError
+from .errors import InclogicError, InputError, SizeGuardError
 from .laxcheck import eminc_preprocess, lax_check, lax_check_prop
 from .oracle import Semantics, eval_team_modal, eval_team_prop
 from .reductions import (
@@ -104,7 +104,7 @@ def _cmd_check(args):
     if args.kind == "mc":
         model = _load(load_model, args.model)
         team = _load(load_world_team, args.team, model)
-        oracle = partial(eval_team_modal, model, max_worlds=args.guard_worlds)
+        oracle = partial(_modal_oracle, model, args.guard_worlds, args.guard_team)
         lax = partial(lax_check, model, trace=_trace_printer() if args.trace else None)
         strict = partial(strict_check, model)
     else:
@@ -123,6 +123,13 @@ def _cmd_check(args):
         if args.stats:
             print(f"explored {stats.explored} search states", file=sys.stderr)
     return ("true" if result else "false"), None
+
+
+def _modal_oracle(model, max_worlds, max_team, team, formula, mode):
+    """eval_team_modal under the CLI's guards; it has no team guard of its own."""
+    if max_team is not None and len(team) > max_team:
+        raise SizeGuardError(f"team of size {len(team)} exceeds the oracle guard of {max_team}")
+    return eval_team_modal(model, team, formula, mode, max_worlds=max_worlds)
 
 
 def _cmd_validity(args):
@@ -219,7 +226,8 @@ def _add_check(sub, kind, help, *, oracle=False):
                          help="print strict-search statistics to stderr")
     cmd.add_argument("--guard-team", type=int, metavar="N",
                      help="team-size guard for exhaustive procedures (default: the "
-                          "procedure's own, 16 strict, 12 oracle)")
+                          "procedure's own, 16 strict, 12 propositional oracle, none "
+                          "for the modal oracle)")
     if kind == "mc":
         cmd.add_argument("--guard-worlds", type=int, default=12, metavar="N",
                          help="world-count guard for exhaustive procedures")

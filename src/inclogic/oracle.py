@@ -60,15 +60,19 @@ class Semantics(enum.Enum):
 
 def eval_pl_tarski(s: Assignment, f: Formula) -> bool:
     """Classical single-assignment truth for propositional formulas."""
-    if isinstance(f, Atom):
-        return s[f.name] == 1
-    if isinstance(f, NegAtom):
-        return s[f.name] == 0
-    if isinstance(f, And):
-        return eval_pl_tarski(s, f.left) and eval_pl_tarski(s, f.right)
-    if isinstance(f, Or):
-        return eval_pl_tarski(s, f.left) or eval_pl_tarski(s, f.right)
-    raise FragmentError(f"propositional formula expected, got {render_formula(f)!r}")
+
+    def truth(node: Formula, kids: Sequence[bool]) -> bool:
+        if isinstance(node, Atom):
+            return s[node.name] == 1
+        if isinstance(node, NegAtom):
+            return s[node.name] == 0
+        if isinstance(node, And):
+            return kids[0] and kids[1]
+        if isinstance(node, Or):
+            return kids[0] or kids[1]
+        raise FragmentError(f"propositional formula expected, got {render_formula(node)!r}")
+
+    return fold(f, truth)
 
 
 def ml_truth_set(m: KripkeModel, f: Formula) -> frozenset[str]:

@@ -2,13 +2,17 @@
 
 A propositional team is a duplicate-free set of assignments over a shared
 proposition domain.  A modal team is a set of worlds of a Kripke model; in
-code, world teams are plain frozensets of world names.
+code, world teams are plain frozensets of world names.  The lax checker works
+on a model's ``WorldIndex`` instead, where a set of worlds is a Python-int
+bitmask.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from .errors import ForeignWorldError, InputError, SizeGuardError, UnboundPropError
@@ -115,7 +119,7 @@ class KripkeModel:
     outside the signature raises UnboundPropError.
     """
 
-    __slots__ = ("worlds", "edges", "valuation", "succ", "pred")
+    __slots__ = ("worlds", "edges", "valuation", "succ", "pred", "_index")
 
     def __init__(
         self,
@@ -148,6 +152,7 @@ class KripkeModel:
         self.valuation = val
         self.succ = {w: frozenset(s) for w, s in succ.items()}
         self.pred = {w: frozenset(s) for w, s in pred.items()}
+        self._index = None
 
     @property
     def signature(self) -> frozenset[str]:
@@ -173,8 +178,64 @@ class KripkeModel:
             raise ForeignWorldError(f"team references unknown worlds {bad}")
         return team
 
+    def index(self) -> "WorldIndex":
+        """The model's bitmask index, built on first use and kept."""
+        if self._index is None:
+            self._index = WorldIndex(self)
+        return self._index
+
     def __repr__(self):
         return f"KripkeModel(|W|={len(self.worlds)}, |R|={len(self.edges)})"
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class WorldIndex:
+    """A model's worlds as Python-int bitmasks: bit i is ``m.worlds[i]``.
+
+    Holds one extent mask per proposition and one successor and one
+    predecessor mask per world, so that a set of worlds is one int and the
+    modal steps are ORs over its set bits.
+    """
+
+    __slots__ = ("worlds", "full", "_bit", "_ext", "_succ", "_pred")
+
+    def __init__(self, m: KripkeModel):
+        self.worlds = m.worlds
+        self.full = (1 << len(m.worlds)) - 1
+        self._bit = {w: 1 << i for i, w in enumerate(m.worlds)}
+        self._ext = {p: self.mask(ws) for p, ws in m.valuation.items()}
+        self._succ = [self.mask(m.succ[w]) for w in m.worlds]
+        self._pred = [self.mask(m.pred[w]) for w in m.worlds]
+
+    def mask(self, worlds: Iterable[str]) -> int:
+        """The mask of a set of (already validated) world names."""
+        return sum(map(self._bit.__getitem__, worlds))
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The world names of a mask."""
+        return frozenset(itertools.compress(self.worlds, _bits(mask)))
+
+    def extent(self, prop: str) -> int:
+        """The mask of the worlds where ``prop`` is true."""
+        try:
+            return self._ext[prop]
+        except KeyError:
+            raise UnboundPropError(f"proposition {prop!r} is outside the model signature") from None
+
+    def pre(self, mask: int) -> int:
+        """Every world with a successor in ``mask``."""
+        return reduce(or_, itertools.compress(self._pred, _bits(mask)), 0)
+
+    def image(self, mask: int) -> int:
+        """Every successor of a world in ``mask``: R[mask]."""
+        return reduce(or_, itertools.compress(self._succ, _bits(mask)), 0)
+
+
+def _bits(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first: 1 where set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
 def r_image(m: KripkeModel, team: Iterable[str]) -> frozenset[str]:

@@ -223,11 +223,20 @@ def test_foreign_team_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_deep_parentheses_exit_2(capsys):
-    code, out, err = run(capsys, "validity", "--logic", "pl",
-                         "--formula", "(" * 5000 + "p" + " & p)" * 5000)
+def test_deep_strict_search_exit_2(capsys, tmp_path):
+    model = _json_file(tmp_path, "model.json",
+                       {"worlds": ["u"], "edges": [["u", "u"]], "valuation": {"p": ["u"]}})
+    team = _json_file(tmp_path, "team.json", {"team": ["u"]})
+    code, out, err = run(capsys, "mc", "--model", model, "--team", team,
+                         "--formula", "<>" * 600 + "p", "--semantics", "strict")
     assert code == 2 and out == ""
     assert err.startswith("error: formula nested too deeply")
+
+
+def test_pl_validity_decides_deep_parentheses(capsys):
+    code, out, _ = run(capsys, "validity", "--logic", "pl",
+                       "--formula", "(" * 5000 + "p" + " | !p)" * 5000)
+    assert code == 0 and first_line(out) == "RESULT: valid"
 
 
 def _json_file(tmp_path, name, data):
@@ -285,6 +294,16 @@ def test_guard_team_defaults_to_each_procedures_own(capsys, tmp_path):
     code, _, err = run(capsys, "oracle", "mc-prop", "--team", prop_team,
                        "--formula", "(p | !p)")
     assert code == 2 and "exceeds the oracle guard of 12" in err
+
+
+def test_guard_team_bounds_the_modal_oracle(capsys):
+    for argv in (("oracle", "mc"), ("mc", "--force-oracle")):
+        args = (*argv, "--model", MODEL, "--team", ROOTS, "--formula", "[]" + SPLIT)
+        code, out, err = run(capsys, *args, "--guard-team", "1")
+        assert code == 2 and out == ""
+        assert "team of size 3 exceeds the oracle guard of 1" in err
+        code, out, _ = run(capsys, *args, "--guard-team", "3")
+        assert code == 0 and first_line(out) == "RESULT: true"
 
 
 def test_parser_rejects_unknown_subcommand():

@@ -1,12 +1,20 @@
 """The polynomial lax checker: maxsub, labelling fixpoint, preprocessing."""
 
+import itertools
 import random
 
 import pytest
 
 from inclogic import (
+    And,
+    Atom,
+    Box,
+    Diamond,
     Fragment,
+    Inclusion,
     KripkeModel,
+    NegAtom,
+    Or,
     Semantics,
     embed_prop_team,
     eminc_preprocess,
@@ -21,6 +29,7 @@ from inclogic import (
     ml_truth_set,
     parse_formula,
     props,
+    r_image,
     strict_check_prop,
     sub_occurrences,
 )
@@ -257,3 +266,126 @@ def test_maxsub_rejects_propositions_outside_the_signature():
     for text in ("x", "!x", "[p <= x]"):
         with pytest.raises(UnboundPropError):
             maxsub(m, {"w1"}, parse_formula(text))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the mask kernels on models spanning several machine
+# words, with world names whose sorted order is not their bit order
+
+
+def _wide_model(rng, n_worlds, names):
+    ids = rng.sample(range(1000), n_worlds)
+    worlds = [f"x{i:03d}" for i in ids]
+    edges = {(rng.choice(worlds), rng.choice(worlds)) for _ in range(3 * n_worlds)}
+    valuation = {p: [w for w in worlds if rng.random() < 0.5] for p in names}
+    return KripkeModel(worlds, edges, valuation)
+
+
+def _stable_core(m, team, lhs, rhs):
+    """Per-world reference: drop members whose left row no surviving member
+    realizes on the right, until nothing changes."""
+    alive = set(team)
+    while True:
+        realized = {tuple(w in m.valuation[q] for q in rhs) for w in alive}
+        kept = {w for w in alive if tuple(w in m.valuation[p] for p in lhs) in realized}
+        if kept == alive:
+            return frozenset(alive)
+        alive = kept
+
+
+def _reference_labelling(m, team, f):
+    """The labelling fixpoint on frozensets of world names, clause by clause;
+    literals go through ``maxsub``, which the test below compares with
+    ``_stable_core``."""
+    nodes = [node for _, node in sub_occurrences(f)]
+    params = {p.oid for n in nodes if isinstance(n, Inclusion) for p in n.children()}
+    occs = [n for n in nodes if n.oid not in params]
+    full = frozenset(m.worlds)
+    older, prev = None, {n.oid: full for n in occs}
+    for i in range(1, 2 * len(m.worlds) * len(occs) + 5):
+        cur = {}
+        if i % 2:
+            for n in occs:
+                if isinstance(n, (Atom, NegAtom, Inclusion)):
+                    cur[n.oid] = maxsub(m, prev[n.oid], n)
+                elif isinstance(n, (And, Or)):
+                    left, right = cur[n.left.oid], cur[n.right.oid]
+                    cur[n.oid] = left & right if isinstance(n, And) else left | right
+                elif isinstance(n, Diamond):
+                    cur[n.oid] = frozenset(w for w in prev[n.oid] if m.succ[w] & cur[n.child.oid])
+                else:
+                    cur[n.oid] = frozenset(w for w in prev[n.oid] if m.succ[w] <= cur[n.child.oid])
+        else:
+            cur[f.oid] = prev[f.oid] & team
+            for n in reversed(occs):
+                if isinstance(n, And):
+                    cur[n.left.oid] = cur[n.right.oid] = cur[n.oid]
+                elif isinstance(n, Or):
+                    cur[n.left.oid] = prev[n.left.oid] & cur[n.oid]
+                    cur[n.right.oid] = prev[n.right.oid] & cur[n.oid]
+                elif isinstance(n, (Diamond, Box)):
+                    cur[n.child.oid] = prev[n.child.oid] & r_image(m, cur[n.oid])
+        if older is not None and cur == prev == older:
+            return cur, i
+        older, prev = prev, cur
+    raise AssertionError("reference labelling did not stabilize")
+
+
+def test_maxsub_inclusion_matches_per_world_stable_core():
+    rng = random.Random(43)
+    names = ["p", "q", "r", "s", "t", "u"]
+    for _ in range(8):
+        m = _wide_model(rng, rng.randint(70, 200), names)
+        for arity in range(1, 7):
+            team = frozenset(rng.sample(m.worlds, rng.randint(0, len(m.worlds))))
+            lhs = [rng.choice(names) for _ in range(arity)]
+            rhs = [rng.choice(names) for _ in range(arity)]
+            atom = parse_formula(f"[{','.join(lhs)} <= {','.join(rhs)}]")
+            assert maxsub(m, team, atom) == _stable_core(m, team, lhs, rhs), str(atom)
+
+
+def test_maxsub_is_the_union_of_lax_satisfying_subteams_on_small_models():
+    rng = random.Random(47)
+    names = ["p", "q", "r"]
+    for _ in range(40):
+        m = _wide_model(rng, rng.randint(1, 8), names)
+        team = gen_team(rng, m, 8)
+        arity = rng.randint(1, 3)
+        lhs = ",".join(rng.choice(names) for _ in range(arity))
+        rhs = ",".join(rng.choice(names) for _ in range(arity))
+        members = sorted(team)
+        for lit in (parse_formula(f"[{lhs} <= {rhs}]"), parse_formula(rng.choice(names)),
+                    parse_formula("!" + rng.choice(names))):
+            union = frozenset()
+            for size in range(len(members) + 1):
+                for part in itertools.combinations(members, size):
+                    if eval_team_modal(m, part, lit, Semantics.LAX):
+                        union |= frozenset(part)
+            assert maxsub(m, team, lit) == union, f"{lit} over {members}"
+
+
+def test_lax_labelling_matches_frozenset_reference_on_wide_models():
+    rng = random.Random(53)
+    names = ["p", "q", "r"]
+    for _ in range(24):
+        m = _wide_model(rng, rng.randint(70, 200), names)
+        team = frozenset(rng.sample(m.worlds, rng.randint(1, len(m.worlds) // 2)))
+        f = gen_formula(rng, names, rng.randint(4, 14), max_arity=3)
+        labels, rounds = _reference_labelling(m, team, f)
+        lab = lax_labelling(m, team, f)
+        assert (lab.labels, lab.rounds) == (labels, rounds), str(f)
+        assert lax_check(m, team, f) == (labels[f.oid] == team)
+
+
+def test_labels_and_trace_payload_are_frozensets_by_occurrence_id():
+    m = fig_model()
+    f = parse_formula("[]" + SPLIT)
+    payloads = []
+    lab = lax_labelling(m, ["w1", "w2", "w3"], f, trace=lambda i, labels: payloads.append(labels))
+    params = {p.oid for _, n in sub_occurrences(f) if isinstance(n, Inclusion) for p in n.children()}
+    oids = [oid for oid, _ in sub_occurrences(f) if oid not in params]
+    for labels in (lab.labels, *payloads):
+        assert type(labels) is dict and list(labels) == oids
+        assert all(type(label) is frozenset and label <= set(m.worlds)
+                   for label in labels.values())
+    assert payloads[-1] == lab.labels and lab.labels[f.oid] == {"w1", "w2", "w3"}
